@@ -60,14 +60,14 @@ type (
 	// FleetArm is one what-if setting of the query matrix.
 	FleetArm = engine.Arm
 	// FleetResult is a completed fleet run: per-session results in
-	// corpus order plus the streaming aggregator.
+	// corpus order plus the per-session report digests (Agg).
 	FleetResult = engine.Result
 	// FleetSessionResult is one session's outcomes.
 	FleetSessionResult = engine.SessionResult
 	// FleetCacheStats counts the engine's emission-memoization cache.
 	FleetCacheStats = engine.CacheStats
 	// FleetRow is the compact per-session record the store persists,
-	// the aggregator reduces over, and Campaign.Results streams.
+	// reports are folded from, and Campaign.Results streams.
 	FleetRow = engine.SessionRow
 	// FleetArmOutcome is one session × arm cell of the what-if matrix.
 	FleetArmOutcome = engine.ArmOutcome
@@ -1133,7 +1133,7 @@ func (s *ResultStream) Row() FleetRow { return s.row }
 // Err returns the campaign error, if any, once Next has returned false.
 func (s *ResultStream) Err() error { return s.err }
 
-// Result returns the completed run (aggregator, cache and throughput
+// Result returns the completed run (report digests, cache and throughput
 // stats; Sessions is intentionally empty on the streaming path) once
 // Next has returned false, and nil before that.
 func (s *ResultStream) Result() *FleetResult { return s.res }
@@ -1174,14 +1174,6 @@ func (s *ResultStream) finish() {
 // too, byte-identical to the in-RAM aggregation of an uninterrupted
 // campaign; without one it aggregates the last Run.
 func (c *Campaign) Report() (*FleetReport, error) {
-	agg, err := c.aggregator()
-	if err != nil {
-		return nil, err
-	}
-	return agg.Report(), nil
-}
-
-func (c *Campaign) aggregator() (*engine.Aggregator, error) {
 	if c.opt.storeDir != "" {
 		st, err := c.Store()
 		if err != nil {
@@ -1192,7 +1184,11 @@ func (c *Campaign) aggregator() (*engine.Aggregator, error) {
 				return nil, err
 			}
 		}
-		return st.Aggregate()
+		agg, err := st.Aggregate()
+		if err != nil {
+			return nil, err
+		}
+		return agg.Report(), nil
 	}
 	c.mu.Lock()
 	last := c.last
@@ -1200,7 +1196,7 @@ func (c *Campaign) aggregator() (*engine.Aggregator, error) {
 	if last == nil {
 		return nil, errors.New("veritas: campaign has not run (and has no store to report from)")
 	}
-	return last.Agg, nil
+	return last.Agg.Report(), nil
 }
 
 // WriteReport renders the campaign's aggregate report as aligned text:
@@ -1218,7 +1214,7 @@ func (c *Campaign) WriteReport(w io.Writer) error {
 		}
 		return last.WriteReport(w)
 	}
-	agg, err := c.aggregator()
+	rep, err := c.Report()
 	if err != nil {
 		return err
 	}
@@ -1229,7 +1225,7 @@ func (c *Campaign) WriteReport(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== corpus report: %d sessions stored in %s ==\n", st.Len(), c.opt.storeDir); err != nil {
 		return err
 	}
-	if err := agg.WriteAggregate(w); err != nil {
+	if err := rep.WriteAggregate(w); err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -205,10 +205,57 @@ func pr2StoreReport(t *testing.T, dir string) (meta, report []byte) {
 	}
 	var out bytes.Buffer
 	fmt.Fprintf(&out, "== corpus report: %d sessions stored in %s ==\n", st.Len(), dir)
-	if err := agg.WriteAggregate(&out); err != nil {
+	if err := agg.Report().WriteAggregate(&out); err != nil {
 		t.Fatal(err)
 	}
 	return metaBytes, out.Bytes()
+}
+
+// TestStoreTextReportGolden pins the text rendering of the fixed
+// pr2StoreReport corpus to a capture taken from the row-scan renderer
+// that preceded Report.WriteAggregate, so the text stays byte-identical
+// across reducer changes. The capture is amd64's: other architectures
+// may fuse multiply-adds and move the last printed digit.
+func TestStoreTextReportGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden captured on amd64")
+	}
+	_, report := pr2StoreReport(t, t.TempDir())
+	_, body, _ := bytes.Cut(report, []byte("\n")) // drop the path-bearing header
+	want, err := os.ReadFile(filepath.Join("testdata", "fleet_report.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("text report drifted from testdata/fleet_report.golden\ngot:\n%s\nwant:\n%s", body, want)
+	}
+}
+
+// TestCampaignRejectsDuplicateSessionIDs: two corpus specs sharing an
+// ID used to count twice in an in-RAM report but once in a stored one
+// (the store keeps the last write). Both paths must refuse the corpus.
+func TestCampaignRejectsDuplicateSessionIDs(t *testing.T) {
+	corpus, err := veritas.BuildCorpus(veritas.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := corpus[:2]
+	specs[0].ID, specs[1].ID = "dup", "dup"
+	for _, stored := range []bool{false, true} {
+		opts := []veritas.CampaignOption{veritas.WithCorpus(specs...), veritas.WithChunks(25),
+			veritas.WithSamples(2), veritas.WithSeed(1), veritas.WithMatrix([]string{"bba"}, []float64{5})}
+		if stored {
+			opts = append(opts, veritas.WithStore(filepath.Join(t.TempDir(), "dup.store")))
+		}
+		c, err := veritas.NewCampaign(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), `sessions 0 and 1 share ID "dup"`) {
+			t.Fatalf("stored=%v: Run error %v, want a duplicate-ID rejection", stored, err)
+		}
+	}
 }
 
 // deterministicPrefix strips the engine-stats footer (wall-clock

@@ -11,7 +11,7 @@
 //	GET /v1/sessions/{id}         one session's what-if results
 //	GET /v1/scenarios             scenario labels with session counts
 //	GET /v1/report[?scenario=]    aggregate report JSON (identical to the
-//	                              in-RAM aggregator's report for the corpus),
+//	                              in-RAM campaign report for the corpus),
 //	                              with a store-generation ETag; conditional
 //	                              requests answer 304 Not Modified
 //	GET /v1/report/cdf            one arm/metric/estimator empirical CDF

@@ -24,8 +24,8 @@
 //   - NewCampaign batches all of the above over a corpus of sessions:
 //     one options-built Campaign spans the concurrent fleet engine
 //     (internal/engine: sharded workers, per-session emission
-//     memoization, a streaming aggregator whose results are identical
-//     for every worker count) and the persistent corpus store
+//     memoization, one incremental report reducer whose results are
+//     identical for every worker count) and the persistent corpus store
 //     (internal/store), with Run/Resume/Results/Report/Serve tying a
 //     campaign's execution, durability, streaming iteration and HTTP
 //     serving together. The older free functions (RunFleet,

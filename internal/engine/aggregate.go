@@ -1,10 +1,6 @@
 package engine
 
 import (
-	"sort"
-	"sync"
-
-	"veritas/internal/abduction"
 	"veritas/internal/player"
 	"veritas/internal/stats"
 )
@@ -54,10 +50,9 @@ func Summarize(vals []float64) Summary {
 }
 
 // SessionRow is the compact, serializable reduction of a SessionResult:
-// everything aggregation and the result store keep per session, and
-// nothing else. In particular it drops the session log and any retained
-// abduction, which is what bounds the aggregator's memory on corpora
-// whose logs would not fit in RAM.
+// everything the result store keeps per session and Partials reduces
+// to a digest, and nothing else. In particular it drops the session log
+// and any retained abduction.
 type SessionRow struct {
 	Index       int
 	ID          string
@@ -91,183 +86,4 @@ func (r SessionResult) Row() SessionRow {
 // for concurrent use; the first Put error aborts the run.
 type Sink interface {
 	Put(SessionResult) error
-}
-
-// Aggregator collects streamed per-session rows and serves fleet
-// aggregates. Add/AddRow are safe to call from worker goroutines; every
-// read-side method computes over rows ordered by (Index, ID), so the
-// aggregates are byte-identical no matter how many workers ran, in what
-// order results arrived, or whether the rows came straight from the
-// engine or were re-read from a persistent store.
-type Aggregator struct {
-	mu       sync.Mutex
-	rows     []SessionRow
-	unsorted bool
-}
-
-// NewAggregator returns an aggregator with room for about n sessions
-// (a capacity hint, not a limit).
-func NewAggregator(n int) *Aggregator {
-	if n < 0 {
-		n = 0
-	}
-	return &Aggregator{rows: make([]SessionRow, 0, n)}
-}
-
-// Add reduces one completed session result to its row and records it.
-func (a *Aggregator) Add(r SessionResult) { a.AddRow(r.Row()) }
-
-// AddRow records one session row (e.g. re-read from a store).
-func (a *Aggregator) AddRow(row SessionRow) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.rows = append(a.rows, row)
-	a.unsorted = true
-}
-
-// Completed returns the number of rows recorded so far.
-func (a *Aggregator) Completed() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.rows)
-}
-
-// snapshot returns the recorded rows ordered by (Index, ID). The rows
-// themselves are shared with the aggregator and must not be mutated.
-func (a *Aggregator) snapshot() []SessionRow {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.unsorted {
-		sort.Slice(a.rows, func(i, j int) bool {
-			if a.rows[i].Index != a.rows[j].Index {
-				return a.rows[i].Index < a.rows[j].Index
-			}
-			return a.rows[i].ID < a.rows[j].ID
-		})
-		a.unsorted = false
-	}
-	out := make([]SessionRow, len(a.rows))
-	copy(out, a.rows)
-	return out
-}
-
-// ArmNames returns the arm names present in the aggregate, in arm
-// order, taken from the first recorded session that ran any arms.
-func (a *Aggregator) ArmNames() []string { return armNamesOf(a.snapshot()) }
-
-func armNamesOf(rows []SessionRow) []string {
-	for _, s := range rows {
-		if len(s.Arms) > 0 {
-			names := make([]string, len(s.Arms))
-			for i, oc := range s.Arms {
-				names[i] = oc.Name
-			}
-			return names
-		}
-	}
-	return nil
-}
-
-func armValue(oc ArmOutcome, est ArmEstimator, f abduction.MetricFn) (float64, bool) {
-	switch est {
-	case EstTruth:
-		if !oc.HasTruth {
-			return 0, false
-		}
-		return f(oc.Truth), true
-	case EstBaseline:
-		return f(oc.Baseline), true
-	case EstVeritasLow:
-		lo, _ := abduction.VeritasRange(oc.Samples, f)
-		return lo, true
-	case EstVeritasHigh:
-		_, hi := abduction.VeritasRange(oc.Samples, f)
-		return hi, true
-	case EstVeritasMid:
-		lo, hi := abduction.VeritasRange(oc.Samples, f)
-		return (lo + hi) / 2, true
-	}
-	return 0, false
-}
-
-// Series returns the per-session values of metric f under the given
-// estimator for one arm, in corpus order. Sessions missing the arm (or
-// the ground truth, for EstTruth) are skipped.
-func (a *Aggregator) Series(arm string, est ArmEstimator, f abduction.MetricFn) []float64 {
-	return seriesOf(a.snapshot(), arm, est, f)
-}
-
-func seriesOf(rows []SessionRow, arm string, est ArmEstimator, f abduction.MetricFn) []float64 {
-	var out []float64
-	for _, s := range rows {
-		for _, oc := range s.Arms {
-			if oc.Name != arm {
-				continue
-			}
-			if v, ok := armValue(oc, est, f); ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// SettingASeries returns metric f of the deployed (Setting A) sessions,
-// in corpus order, skipping sessions built from pre-recorded logs.
-func (a *Aggregator) SettingASeries(f abduction.MetricFn) []float64 {
-	var out []float64
-	for _, s := range a.snapshot() {
-		if s.Simulated {
-			out = append(out, f(s.SettingA))
-		}
-	}
-	return out
-}
-
-// Predictions returns every interventional prediction in corpus order.
-func (a *Aggregator) Predictions() []float64 { return predictionsOf(a.snapshot()) }
-
-func predictionsOf(rows []SessionRow) []float64 {
-	var out []float64
-	for _, s := range rows {
-		out = append(out, s.Predictions...)
-	}
-	return out
-}
-
-// Summary summarizes metric f under the estimator for one arm.
-func (a *Aggregator) Summary(arm string, est ArmEstimator, f abduction.MetricFn) Summary {
-	return Summarize(a.Series(arm, est, f))
-}
-
-// CDF returns the empirical CDF of metric f under the estimator.
-func (a *Aggregator) CDF(arm string, est ArmEstimator, f abduction.MetricFn) []stats.CDFPoint {
-	return stats.CDF(a.Series(arm, est, f))
-}
-
-// Coverage returns the fraction of sessions whose oracle outcome lies
-// inside [VeritasLow − slack, VeritasHigh + slack] for metric f.
-func (a *Aggregator) Coverage(arm string, f abduction.MetricFn, slack float64) float64 {
-	return coverageOf(a.snapshot(), arm, f, slack)
-}
-
-func coverageOf(rows []SessionRow, arm string, f abduction.MetricFn, slack float64) float64 {
-	var n, covered int
-	for _, s := range rows {
-		for _, oc := range s.Arms {
-			if oc.Name != arm || !oc.HasTruth {
-				continue
-			}
-			lo, hi := abduction.VeritasRange(oc.Samples, f)
-			t := f(oc.Truth)
-			n++
-			if t >= lo-slack && t <= hi+slack {
-				covered++
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(covered) / float64(n)
 }

@@ -23,9 +23,9 @@
 //     TCP state and size). Hit/miss counts are aggregated across the
 //     fleet; the cache rows themselves live in a worker-owned arena
 //     reset between sessions.
-//   - Aggregation: per-session results stream into a thread-safe
-//     Aggregator; aggregates are computed in session order so results
-//     are byte-identical for every worker count.
+//   - Aggregation: each finished session folds into Partials, one
+//     digest per session; reports are computed in session order so
+//     results are byte-identical for every worker count.
 package engine
 
 import (
@@ -110,9 +110,9 @@ type Config struct {
 	ShardIndex int
 	ShardCount int
 	// DiscardResults leaves Result.Sessions empty: completed sessions
-	// flow only through Sink/OnResult and the aggregator. This is what
+	// flow only through Sink/OnResult and Result.Agg. This is what
 	// bounds a streaming consumer's memory — nothing per-session is
-	// retained beyond the aggregator's compact rows.
+	// retained beyond the per-session report digests.
 	DiscardResults bool
 	// Telemetry, when set, receives per-stage latency histograms, the
 	// session throughput counter and cache-traffic counters for the run
@@ -258,7 +258,7 @@ type SessionResult struct {
 // Result is a completed fleet run.
 type Result struct {
 	Sessions []SessionResult // in corpus order; zero entries for skipped or out-of-shard sessions
-	Agg      *Aggregator
+	Agg      *Partials
 	Cache    CacheStats
 	// Powers counts shared transition-power cache traffic during the
 	// run: one lookup per abduced session, a hit when the session's
@@ -303,7 +303,15 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	if cfg.ShardCount > 1 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
 		return nil, fmt.Errorf("engine: shard index %d out of range [0, %d)", cfg.ShardIndex, cfg.ShardCount)
 	}
+	ids := make(map[string]int, len(corpus))
 	for i, spec := range corpus {
+		// Reports hold one digest per session ID, as the store does, so
+		// a shared ID would silently drop a session.
+		id := specID(spec, i)
+		if j, dup := ids[id]; dup {
+			return nil, fmt.Errorf("engine: sessions %d and %d share ID %q", j, i, id)
+		}
+		ids[id] = i
 		if spec.Trace == nil && spec.Log == nil {
 			return nil, fmt.Errorf("engine: session %d has neither Trace nor Log", i)
 		}
@@ -349,7 +357,7 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		}
 	}()
 
-	agg := NewAggregator(len(corpus))
+	agg := NewPartials()
 	var results []SessionResult
 	if !cfg.DiscardResults {
 		results = make([]SessionResult, len(corpus))
@@ -402,7 +410,7 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 					}
 					cacheHits.Add(res.Cache.Hits)
 					cacheMisses.Add(res.Cache.Misses)
-					agg.Add(res)
+					agg.FoldRow(res.Row(), 0)
 					if cfg.Sink != nil {
 						if err := cfg.Sink.Put(res); err != nil {
 							fail(fmt.Errorf("engine: session %d (%s): sink: %w", i, corpus[i].ID, err))

@@ -59,29 +59,27 @@ func testArms(chunks int) []Arm {
 }
 
 // fingerprint serializes everything aggregate-visible about a run,
-// excluding wall-clock fields, so runs can be compared byte-for-byte.
-func fingerprint(res *Result) string {
+// excluding wall-clock fields, so runs can be compared byte-for-byte:
+// the report JSON, every arm × metric × estimator series (veritas-mid
+// included, though the report omits it), and each session's Setting-A
+// metrics and predictions.
+func fingerprint(t *testing.T, res *Result) string {
 	var b strings.Builder
-	metrics := []struct {
-		label string
-		fn    abduction.MetricFn
-	}{
-		{"ssim", abduction.MetricSSIM},
-		{"rebuf", abduction.MetricRebufRatio},
-		{"bitrate", abduction.MetricAvgBitrate},
+	rep := res.Agg.Report()
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, arm := range res.Agg.ArmNames() {
-		for _, m := range metrics {
-			for _, est := range []ArmEstimator{EstTruth, EstBaseline, EstVeritasLow, EstVeritasHigh, EstVeritasMid} {
-				fmt.Fprintf(&b, "%s/%s/%s %v\n", arm, m.label, est, res.Agg.Series(arm, est, m.fn))
+	fmt.Fprintf(&b, "%s\n", js)
+	for _, ar := range rep.Arms {
+		for m := range reportMetrics {
+			for _, est := range Estimators() {
+				fmt.Fprintf(&b, "%s/%d/%s %v\n", ar.Arm, m, est, res.Agg.Series("", ar.Arm, est, m))
 			}
-			fmt.Fprintf(&b, "%s/%s coverage %v\n", arm, m.label, res.Agg.Coverage(arm, m.fn, 0.01))
 		}
 	}
-	fmt.Fprintf(&b, "settingA %v\n", res.Agg.SettingASeries(abduction.MetricSSIM))
-	fmt.Fprintf(&b, "predictions %v\n", res.Agg.Predictions())
 	for _, s := range res.Sessions {
-		fmt.Fprintf(&b, "%d %s %+v\n", s.Index, s.ID, s.SettingA)
+		fmt.Fprintf(&b, "%d %s %+v %v\n", s.Index, s.ID, s.SettingA, s.Predictions)
 	}
 	return b.String()
 }
@@ -101,7 +99,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if res.Workers != workers {
 			t.Errorf("res.Workers = %d, want %d", res.Workers, workers)
 		}
-		got := fingerprint(res)
+		got := fingerprint(t, res)
 		if want == "" {
 			want = got
 			continue
@@ -125,7 +123,7 @@ func TestCacheDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(with) != fingerprint(without) {
+	if fingerprint(t, with) != fingerprint(t, without) {
 		t.Error("cache changed inference results")
 	}
 	if without.Cache.Lookups() != 0 {
@@ -150,7 +148,7 @@ func TestArenaDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(arena) != fingerprint(fresh) {
+	if fingerprint(t, arena) != fingerprint(t, fresh) {
 		t.Error("arena reuse changed inference results")
 	}
 	// Retained abductions must own their buffers: sessions on the same
@@ -274,9 +272,6 @@ func TestSimulateOnlyAndPrerecordedLogs(t *testing.T) {
 			t.Error("KeepAbductions did not retain the abduction")
 		}
 	}
-	if got := res2.Agg.SettingASeries(abduction.MetricSSIM); len(got) != 0 {
-		t.Errorf("pre-recorded logs should have no Setting-A metrics, got %d", len(got))
-	}
 }
 
 func TestPredictQueries(t *testing.T) {
@@ -324,6 +319,13 @@ func TestRunInputValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Config{}, testCorpus(t, 1)[:1], []Arm{{Name: "broken"}}); err == nil {
 		t.Error("invalid arm setting should error")
+	}
+	// Reports keep one digest per effective ID, so an explicit ID that
+	// collides with an index default must be refused.
+	dup := testCorpus(t, 1)[:2]
+	dup[0].ID, dup[1].ID = "", "session-0"
+	if _, err := Run(context.Background(), Config{}, dup, nil); err == nil || !strings.Contains(err.Error(), `sessions 0 and 1 share ID "session-0"`) {
+		t.Errorf("duplicate session IDs: got %v, want a rejection naming both indices", err)
 	}
 }
 
@@ -416,8 +418,8 @@ func TestSkipLeavesIndicesStable(t *testing.T) {
 	if part.Executed != len(corpus)-2 {
 		t.Errorf("Executed = %d, want %d", part.Executed, len(corpus)-2)
 	}
-	if got := part.Agg.Completed(); got != len(corpus)-2 {
-		t.Errorf("aggregator recorded %d sessions, want %d", got, len(corpus)-2)
+	if got := part.Agg.Sessions(); got != len(corpus)-2 {
+		t.Errorf("report folded %d sessions, want %d", got, len(corpus)-2)
 	}
 	for i, s := range part.Sessions {
 		if skip[corpus[i].ID] {
@@ -507,9 +509,6 @@ func TestSinkBoundsRetention(t *testing.T) {
 			t.Fatal("compact retention lost the session identity")
 		}
 	}
-	if got := res.Agg.SettingASeries(abduction.MetricSSIM); len(got) != 2 {
-		t.Errorf("aggregator lost Setting-A rows under a sink: %d, want 2", len(got))
-	}
 }
 
 func TestStreamDeliversEveryRow(t *testing.T) {
@@ -543,9 +542,9 @@ func TestStreamDeliversEveryRow(t *testing.T) {
 	if res.Cache.Lookups() == 0 {
 		t.Error("cache stats lost on the streaming path")
 	}
-	// The streamed rows and aggregator match the plain Run.
-	if got, want := res.Agg.Completed(), want.Agg.Completed(); got != want {
-		t.Errorf("aggregator saw %d rows, want %d", got, want)
+	// The streamed rows and report match the plain Run.
+	if got, want := res.Agg.Sessions(), want.Agg.Sessions(); got != want {
+		t.Errorf("report folded %d sessions, want %d", got, want)
 	}
 	for _, s := range want.Sessions {
 		row, ok := seen[s.ID]
@@ -581,8 +580,8 @@ func TestDiscardResults(t *testing.T) {
 	if len(res.Sessions) != 0 {
 		t.Fatalf("DiscardResults retained %d sessions", len(res.Sessions))
 	}
-	if res.Agg.Completed() != len(corpus) {
-		t.Errorf("aggregator saw %d rows, want %d", res.Agg.Completed(), len(corpus))
+	if res.Agg.Sessions() != len(corpus) {
+		t.Errorf("report folded %d sessions, want %d", res.Agg.Sessions(), len(corpus))
 	}
 	if res.Cache.Lookups() == 0 {
 		t.Error("cache stats lost with DiscardResults")

@@ -8,30 +8,28 @@ import (
 	"veritas/internal/abduction"
 )
 
-// Incremental per-arm aggregation. The fleet report's reducer is
-// associative: every cell of Aggregator.Report is a fold over
-// per-session values that are pure functions of one SessionRow
-// (armValue, coverageOf's range test, the prediction list). Partials
-// exploits that by extracting those values once, when a row is folded
-// in, and keeping them as a per-session digest — so a growing corpus
-// pays O(arms × metrics) extraction per appended row instead of a full
-// O(rows) rescan per report.
+// Incremental per-arm aggregation: the engine's one report reducer.
+// Every cell of the fleet report is a fold over per-session values
+// that are pure functions of one SessionRow (an arm's metric under
+// truth, Baseline or the Veritas range, the range's truth-coverage
+// test, the prediction list). Partials extracts those values once,
+// when a row is folded in, and keeps them as a per-session digest — so
+// a growing corpus pays O(arms × metrics) extraction per appended row
+// instead of a full O(rows) rescan per report.
 //
 // Byte-identity discipline. Reports built from partials must be
-// byte-identical to Aggregator.Report over the same rows (the repo's
-// central invariant, pinned by tests at every layer). Two properties
-// make that hold:
+// byte-identical to a direct row scan over the same rows (the repo's
+// central invariant; oracle_test.go keeps that row scan as the
+// differential oracle). Two properties make that hold:
 //
-//   - Extraction is pure per row: armValue and VeritasRange computed at
-//     fold time equal the same calls at report time.
+//   - Extraction is pure per row: metric values and VeritasRange
+//     computed at fold time equal the same calls at report time.
 //   - Series order is reproduced exactly: stats.Mean sums in input
 //     order, so Report materializes every series in (Index, ID) session
-//     order with per-session arm multiplicity preserved — the same
-//     order seriesOf produces.
+//     order with per-session arm multiplicity preserved.
 //
-// EstVeritasMid is not stored: armValue derives it as (low+high)/2, and
-// Partials reproduces that exact float expression from the stored
-// low/high cells.
+// EstVeritasMid is not stored: it is derived as (low+high)/2 from the
+// stored low/high cells, the same float expression the row scan uses.
 
 // PartialSession is one session's digest: everything the report needs,
 // nothing else (no metrics structs, no samples). It is serializable —
@@ -62,7 +60,7 @@ type PartialArm struct {
 	High     []float64
 }
 
-// value reproduces armValue from the stored cells. m indexes
+// value is one cell of the arm under an estimator. m indexes
 // reportMetrics.
 func (a *PartialArm) value(est ArmEstimator, m int) (float64, bool) {
 	switch est {
@@ -188,8 +186,8 @@ func (p *Partials) Folds() uint64 {
 	return p.folds
 }
 
-// view returns the digests in (Index, ID) order — the Aggregator's
-// snapshot order — optionally filtered to one scenario. The returned
+// view returns the digests in (Index, ID) order — corpus order —
+// optionally filtered to one scenario. The returned
 // slice is the caller's; the pointed-to digests are shared and must not
 // be mutated.
 func (p *Partials) view(scenario string) []*PartialSession {
@@ -255,8 +253,8 @@ func (p *Partials) ArmUnion(scenario string) []string {
 	return out
 }
 
-// partialArmNames mirrors armNamesOf: the arm names of the first
-// session (in view order) that ran any arms.
+// partialArmNames returns the arm names of the first session (in view
+// order) that ran any arms — the report's arm list.
 func partialArmNames(rows []*PartialSession) []string {
 	for _, s := range rows {
 		if len(s.Arms) > 0 {
@@ -270,8 +268,8 @@ func partialArmNames(rows []*PartialSession) []string {
 	return nil
 }
 
-// partialSeries mirrors seriesOf: per-session values for one arm under
-// one estimator, in view order, with per-session arm multiplicity
+// partialSeries returns per-session values for one arm under one
+// estimator, in view order, with per-session arm multiplicity
 // preserved.
 func partialSeries(rows []*PartialSession, arm string, est ArmEstimator, m int) []float64 {
 	var out []float64
@@ -288,7 +286,8 @@ func partialSeries(rows []*PartialSession, arm string, est ArmEstimator, m int) 
 	return out
 }
 
-// partialCoverage mirrors coverageOf from the stored cells.
+// partialCoverage returns the fraction of sessions whose truth lies
+// inside [low − slack, high + slack] of the Veritas range.
 func partialCoverage(rows []*PartialSession, arm string, m int, slack float64) float64 {
 	var n, covered int
 	for _, s := range rows {
@@ -309,17 +308,14 @@ func partialCoverage(rows []*PartialSession, arm string, m int, slack float64) f
 	return float64(covered) / float64(n)
 }
 
-// Report builds the aggregate report from the partials — byte-identical
-// (after JSON encoding) to Aggregator.Report over the same rows.
-// scenario empty means all sessions, mirroring AggregateScenario.
-func (p *Partials) Report(scenario string) *Report {
-	return p.ReportFiltered(scenario, nil)
-}
+// Report builds the aggregate report over every folded session.
+func (p *Partials) Report() *Report { return p.ReportFiltered("", nil) }
 
-// ReportFiltered is Report restricted to the arms armOK accepts (nil
-// accepts all) — the /v1/report?abr= filter. The unfiltered report is
-// the byte-identity-pinned one; a filtered report is the same blocks
-// minus the excluded arms.
+// ReportFiltered is Report restricted to one scenario (empty means all
+// sessions) and to the arms armOK accepts (nil accepts all) — the
+// /v1/report?scenario=&abr= filters. A report with no arm filter is
+// the byte-identity-pinned one; an arm-filtered report is the same
+// blocks minus the excluded arms.
 func (p *Partials) ReportFiltered(scenario string, armOK func(string) bool) *Report {
 	rows := p.view(scenario)
 	rep := &Report{Sessions: len(rows)}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -55,55 +56,72 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 	return b
 }
 
+// matchesOracle fails the test unless p's report for scenario and its
+// series for every arm × estimator × metric (veritas-mid included,
+// though the report JSON omits it) equal the row-scan oracle's over
+// rows, which must be in corpus order and already scenario-filtered.
+func matchesOracle(t *testing.T, p *Partials, scenario string, rows []SessionRow) {
+	t.Helper()
+	if got, want := reportJSON(t, p.ReportFiltered(scenario, nil)), reportJSON(t, oracleReport(rows)); string(got) != string(want) {
+		t.Fatalf("scenario %q report:\npartials: %s\noracle:   %s", scenario, got, want)
+	}
+	for _, arm := range armNamesOf(rows) {
+		for m, met := range reportMetrics {
+			for _, est := range Estimators() {
+				got, want := p.Series(scenario, arm, est, m), seriesOf(rows, arm, est, met.fn)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("scenario %q series %s/%s/%s: got %v want %v", scenario, arm, met.key, est, got, want)
+				}
+			}
+		}
+	}
+}
+
 // The acceptance pin at the engine layer: a report built from
-// incrementally folded partials is byte-identical to the full
-// Aggregator recompute at every generation, for every scenario filter,
-// under out-of-order arrival.
+// incrementally folded partials is byte-identical to the row-scan
+// oracle at every generation, for every scenario filter, under
+// out-of-order arrival — over synthetic rows and over real engine rows.
 func TestPartialsReportByteIdentical(t *testing.T) {
-	agg := NewAggregator(0)
 	p := NewPartials()
+	folded := make([]bool, 40)
 	// Fold in a scrambled order to exercise the (Index, ID) resort.
-	order := rand.New(rand.NewSource(7)).Perm(40)
+	order := rand.New(rand.NewSource(7)).Perm(len(folded))
 	for gen, i := range order {
-		row := synthRow(i, 1)
-		agg.AddRow(row)
-		if !p.FoldRow(row, uint64(gen)) {
+		if !p.FoldRow(synthRow(i, 1), uint64(gen)) {
 			t.Fatalf("fold %d rejected", gen)
 		}
+		folded[i] = true
 		for _, scenario := range []string{"", "scenario-0", "scenario-1", "scenario-2"} {
-			want := reportJSON(t, reportForScenario(agg, scenario))
-			got := reportJSON(t, p.Report(scenario))
-			if string(want) != string(got) {
-				t.Fatalf("gen %d scenario %q:\npartials: %s\nfull:     %s", gen, scenario, got, want)
+			var rows []SessionRow
+			for j, ok := range folded {
+				if row := synthRow(j, 1); ok && (scenario == "" || row.Scenario == scenario) {
+					rows = append(rows, row)
+				}
 			}
+			matchesOracle(t, p, scenario, rows)
 		}
 	}
 	if p.Sessions() != 40 {
 		t.Fatalf("Sessions = %d, want 40", p.Sessions())
 	}
-}
 
-// reportForScenario mirrors Store.AggregateScenario over an in-RAM
-// aggregator: refilter the rows, then Report.
-func reportForScenario(agg *Aggregator, scenario string) *Report {
-	if scenario == "" {
-		return agg.Report()
+	res, err := Run(context.Background(), Config{Workers: 2, Samples: 2, Seed: 1}, testCorpus(t, 1), testArms(30))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sub := NewAggregator(0)
-	for _, row := range agg.snapshot() {
-		if row.Scenario == scenario {
-			sub.AddRow(row)
-		}
+	rows := make([]SessionRow, len(res.Sessions))
+	for i, s := range res.Sessions {
+		rows[i] = s.Row()
 	}
-	return sub.Report()
+	matchesOracle(t, res.Agg, "", rows)
 }
 
 // Folding a newer record for the same ID must supersede the older one —
-// and produce the exact report of an aggregator that only ever saw the
-// newest records.
+// and produce the exact report of a row scan over only the newest
+// records.
 func TestPartialsFoldRowSupersedes(t *testing.T) {
 	p := NewPartials()
-	agg := NewAggregator(0)
+	var newest []SessionRow
 	for i := 0; i < 12; i++ {
 		p.FoldRow(synthRow(i, 1), uint64(i))
 	}
@@ -114,17 +132,17 @@ func TestPartialsFoldRowSupersedes(t *testing.T) {
 			row = synthRow(i, 99)
 			p.FoldRow(row, uint64(100+i))
 		}
-		agg.AddRow(row)
+		newest = append(newest, row)
 	}
-	if got, want := reportJSON(t, p.Report("")), reportJSON(t, agg.Report()); string(got) != string(want) {
-		t.Fatalf("superseded report diverged:\npartials: %s\nfull:     %s", got, want)
+	if got, want := reportJSON(t, p.Report()), reportJSON(t, oracleReport(newest)); string(got) != string(want) {
+		t.Fatalf("superseded report diverged:\npartials: %s\noracle:   %s", got, want)
 	}
 	// A stale fold (lower seq) must be rejected and change nothing.
-	before := reportJSON(t, p.Report(""))
+	before := reportJSON(t, p.Report())
 	if p.FoldRow(synthRow(0, 1), 0) {
 		t.Fatal("stale fold was applied")
 	}
-	if after := reportJSON(t, p.Report("")); string(after) != string(before) {
+	if after := reportJSON(t, p.Report()); string(after) != string(before) {
 		t.Fatal("rejected fold still changed the report")
 	}
 	// An equal-seq fold wins (replay of the same frame is idempotent).
@@ -143,24 +161,25 @@ func TestPartialsFoldPartialOrderWins(t *testing.T) {
 	p.FoldPartial(old)
 	p.FoldPartial(new_)
 
-	want := NewAggregator(0)
-	want.AddRow(synthRow(3, 2))
-	if got, exp := reportJSON(t, p.Report("")), reportJSON(t, want.Report()); string(got) != string(exp) {
+	want := oracleReport([]SessionRow{synthRow(3, 2)})
+	if got, exp := reportJSON(t, p.Report()), reportJSON(t, want); string(got) != string(exp) {
 		t.Fatalf("FoldPartial order not respected:\ngot:  %s\nwant: %s", got, exp)
 	}
 }
 
+// Series over folded partials equals the row-scan oracle's series for
+// every estimator and metric, and an out-of-range metric index yields nil.
 func TestPartialsSeriesMatchesAggregator(t *testing.T) {
-	agg := NewAggregator(0)
 	p := NewPartials()
+	var rows []SessionRow
 	for i := 0; i < 25; i++ {
 		row := synthRow(i, 1)
-		agg.AddRow(row)
+		rows = append(rows, row)
 		p.FoldRow(row, uint64(i))
 	}
 	for m, met := range reportMetrics {
 		for _, est := range Estimators() {
-			want := seriesOf(agg.snapshot(), "mpc", est, met.fn)
+			want := seriesOf(rows, "mpc", est, met.fn)
 			got := p.Series("", "mpc", est, m)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("series %s/%s: got %v want %v", met.key, est, got, want)
@@ -194,7 +213,7 @@ func TestPartialsSnapshotRoundTrip(t *testing.T) {
 	for _, ps := range back {
 		p2.FoldPartial(ps)
 	}
-	if got, want := reportJSON(t, p2.Report("")), reportJSON(t, p.Report("")); string(got) != string(want) {
+	if got, want := reportJSON(t, p2.Report()), reportJSON(t, p.Report()); string(got) != string(want) {
 		t.Fatalf("restored report diverged:\ngot:  %s\nwant: %s", got, want)
 	}
 }

@@ -43,7 +43,7 @@ type ArmAggregate struct {
 
 // Report is the serializable aggregate of a corpus — what cmd/serve
 // returns as JSON and what the determinism tests compare byte-for-byte
-// between the in-RAM and store-backed aggregation paths. It carries no
+// between the in-RAM and store-backed paths. It carries no
 // wall-clock or worker-count fields, so equal corpora produce equal
 // reports however they were computed.
 type Report struct {
@@ -52,71 +52,39 @@ type Report struct {
 	Predictions *Summary `json:",omitempty"`
 }
 
-// Report computes the aggregate report over everything recorded so
-// far. One snapshot of the rows feeds every series, so the cost of a
-// report is a handful of passes over the corpus, not a copy per
-// (arm, metric, estimator) cell.
-func (a *Aggregator) Report() *Report {
-	rows := a.snapshot()
-	rep := &Report{Sessions: len(rows)}
-	for _, arm := range armNamesOf(rows) {
-		ar := ArmAggregate{Arm: arm}
-		for _, m := range reportMetrics {
-			ma := MetricAggregate{Metric: m.label, Estimators: map[ArmEstimator]Summary{}}
-			for _, est := range reportEstimators {
-				if s := Summarize(seriesOf(rows, arm, est, m.fn)); s.N > 0 {
-					ma.Estimators[est] = s
-				}
-			}
-			if _, ok := ma.Estimators[EstTruth]; ok {
-				c := coverageOf(rows, arm, m.fn, m.slack)
-				ma.Coverage = &c
-				ma.CoverageSlack = m.slack
-			}
-			ar.Metrics = append(ar.Metrics, ma)
-		}
-		rep.Arms = append(rep.Arms, ar)
-	}
-	if preds := predictionsOf(rows); len(preds) > 0 {
-		s := Summarize(preds)
-		rep.Predictions = &s
-	}
-	return rep
-}
-
-// WriteAggregate renders the aggregate blocks as aligned text: one
-// block per what-if arm with mean/percentile rows for every metric and
-// estimator plus truth coverage, then the interventional-prediction
-// summary. It is the body shared by Result.WriteReport and the
-// store-backed report path in cmd/fleet.
-func (a *Aggregator) WriteAggregate(w io.Writer) error {
+// WriteAggregate renders the report as aligned text: one block per
+// what-if arm with mean/percentile rows for every metric and estimator
+// plus truth coverage, then the interventional-prediction summary. It
+// only formats the report's cells, so the text and the JSON of one
+// report cannot disagree. It is the body shared by Result.WriteReport
+// and the store-backed report path in cmd/fleet.
+func (rep *Report) WriteAggregate(w io.Writer) error {
 	var b strings.Builder
-	rows := a.snapshot()
-	for _, arm := range armNamesOf(rows) {
-		fmt.Fprintf(&b, "\n-- arm: %s --\n", arm)
+	for _, ar := range rep.Arms {
+		fmt.Fprintf(&b, "\n-- arm: %s --\n", ar.Arm)
 		fmt.Fprintf(&b, "%-14s %-13s %9s %9s %9s %9s %9s\n",
 			"metric", "estimator", "mean", "P10", "P50", "P90", "max")
-		for _, m := range reportMetrics {
+		for m, ma := range ar.Metrics {
+			scale := reportMetrics[m].scale
 			for _, est := range reportEstimators {
-				s := Summarize(seriesOf(rows, arm, est, m.fn))
-				if s.N == 0 {
+				s, ok := ma.Estimators[est]
+				if !ok {
 					continue
 				}
 				fmt.Fprintf(&b, "%-14s %-13s %9.4g %9.4g %9.4g %9.4g %9.4g\n",
-					m.label, est, s.Mean*m.scale, s.P10*m.scale, s.P50*m.scale, s.P90*m.scale, s.Max*m.scale)
+					ma.Metric, est, s.Mean*scale, s.P10*scale, s.P50*scale, s.P90*scale, s.Max*scale)
 			}
 		}
-		for _, m := range reportMetrics {
-			if len(seriesOf(rows, arm, EstTruth, m.fn)) == 0 {
+		for _, ma := range ar.Metrics {
+			if ma.Coverage == nil {
 				continue
 			}
 			fmt.Fprintf(&b, "coverage: truth inside Veritas range (±%g) on %.0f%% of sessions [%s]\n",
-				m.slack, coverageOf(rows, arm, m.fn, m.slack)*100, m.label)
+				ma.CoverageSlack, *ma.Coverage*100, ma.Metric)
 		}
 	}
 
-	if preds := predictionsOf(rows); len(preds) > 0 {
-		s := Summarize(preds)
+	if s := rep.Predictions; s != nil {
 		fmt.Fprintf(&b, "\n-- interventional download-time predictions --\n")
 		fmt.Fprintf(&b, "n %d  mean %.4g s  P10 %.4g  P50 %.4g  P90 %.4g\n",
 			s.N, s.Mean, s.P10, s.P50, s.P90)
@@ -135,7 +103,7 @@ func (r *Result) WriteReport(w io.Writer) error {
 		fmt.Fprintf(&b, "(%d executed, %d skipped by the resume set)\n",
 			r.Executed, len(r.Sessions)-r.Executed)
 	}
-	if err := r.Agg.WriteAggregate(&b); err != nil {
+	if err := r.Agg.Report().WriteAggregate(&b); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(w, b.String()); err != nil {

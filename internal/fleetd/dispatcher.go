@@ -113,6 +113,12 @@ type Dispatcher struct {
 	agents map[string]*agentInfo
 	seq    int
 
+	// acceptMu makes accepting an upload — completing its lease and
+	// moving the store into the shard slot — one step as far as finish
+	// can see: the last complete wakes Wait before the move, and the
+	// fold must not find the slot empty.
+	acceptMu sync.Mutex
+
 	// reportMu guards the post-fold serving state.
 	reportMu sync.Mutex
 	reportH  http.Handler
@@ -303,6 +309,9 @@ func (d *Dispatcher) finish() (*Result, error) {
 	}
 	d.mu.Unlock()
 	sort.Strings(res.Agents)
+	// Wait out any accept still moving its store into the slot.
+	d.acceptMu.Lock()
+	defer d.acceptMu.Unlock()
 	if d.cfg.FoldInto != "" {
 		n, err := dispatch.FoldStores(d.cfg.FoldInto, d.dirs, d.cfg.Fingerprints, d.cfg.Tracer)
 		if err != nil {
@@ -585,15 +594,19 @@ func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The store is proven; now win (or lose) the race for the slot.
+	d.acceptMu.Lock()
 	if err := d.tab.complete(shard, agent, epoch); err != nil {
+		d.acceptMu.Unlock()
 		os.RemoveAll(staging)
 		writeLeaseError(w, err)
 		return
 	}
 	dst := d.dirs[shard]
-	if err := os.RemoveAll(dst); err == nil {
+	err = os.RemoveAll(dst)
+	if err == nil {
 		err = os.Rename(staging, dst)
 	}
+	d.acceptMu.Unlock()
 	if err != nil {
 		// The table says done but the disk move failed: unrecoverable
 		// for this campaign — fail loudly rather than fold a hole.

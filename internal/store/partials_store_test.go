@@ -21,7 +21,7 @@ func partialsReportBytes(t *testing.T, s *Store, scenario string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(p.Report(scenario))
+	b, err := json.Marshal(p.ReportFiltered(scenario, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func partialsReportBytes(t *testing.T, s *Store, scenario string) []byte {
 
 func scanReportBytes(t *testing.T, s *Store, scenario string) []byte {
 	t.Helper()
-	agg, err := s.AggregateScenario(scenario)
+	agg, err := s.Aggregate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(agg.Report())
+	b, err := json.Marshal(agg.ReportFiltered(scenario, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func scanReportBytes(t *testing.T, s *Store, scenario string) []byte {
 
 // TestStorePartialsMatchFullScanAtEveryGeneration is the tentpole
 // acceptance pin: the incrementally folded report is byte-identical to
-// the full-recompute (Scan + Aggregator) report at every single
+// the cold full-recompute (Scan + FoldRow) report at every single
 // generation, unfiltered and per scenario.
 func TestStorePartialsMatchFullScanAtEveryGeneration(t *testing.T) {
 	s, err := Create(t.TempDir(), Options{})
@@ -185,9 +185,9 @@ func TestPartialsCorruptSnapshotRebuilds(t *testing.T) {
 	}
 }
 
-// TestPartialsSeriesEndpointHelpers: the store-level Partials expose
-// the series the query tier serves, matching a straight engine
-// aggregation of the same rows.
+// TestPartialsSeriesMatchesAggregate: the store-level Partials expose
+// the series the query tier serves, matching fresh engine partials
+// folded from the same rows.
 func TestPartialsSeriesMatchesAggregate(t *testing.T) {
 	s, err := Create(t.TempDir(), Options{})
 	if err != nil {
@@ -199,14 +199,14 @@ func TestPartialsSeriesMatchesAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := engine.NewAggregator(len(rows))
+	fresh := engine.NewPartials()
 	for _, r := range rows {
-		agg.AddRow(r)
+		fresh.FoldRow(r, 0)
 	}
-	wantRep, _ := json.Marshal(agg.Report())
-	gotRep, _ := json.Marshal(p.Report(""))
+	wantRep, _ := json.Marshal(fresh.Report())
+	gotRep, _ := json.Marshal(p.Report())
 	if !bytes.Equal(gotRep, wantRep) {
-		t.Fatal("partials report != aggregator report")
+		t.Fatal("store partials report != fresh partials report")
 	}
 	series := p.Series("", "bba-5s", engine.EstTruth, 0)
 	if len(series) != len(rows) {

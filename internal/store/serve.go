@@ -72,7 +72,7 @@ const reportCacheCap = 256
 //	GET /v1/sessions/{id}           one session's full what-if results
 //	GET /v1/scenarios               scenario labels with session counts
 //	GET /v1/report                  aggregate report (same JSON as the in-RAM
-//	                                aggregator), served from incremental partials
+//	                                campaign report), served from incremental partials
 //	GET /v1/report/cdf              empirical CDF of one (arm, metric, estimator)
 //	GET /v1/report/series           the raw per-session series behind the CDF
 //	GET /v1/report/percentiles      chosen percentiles of the same series

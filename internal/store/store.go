@@ -882,28 +882,21 @@ func (s *Store) Scan(fn func(engine.SessionRow) error) error {
 	return nil
 }
 
-// Aggregate replays every stored row into a fresh engine aggregator.
-// The resulting aggregates — and the Report built from them — are
-// byte-identical to the in-RAM aggregation of the campaign(s) that
-// produced the store.
-func (s *Store) Aggregate() (*engine.Aggregator, error) {
-	return s.AggregateScenario("")
-}
-
-// AggregateScenario aggregates only the sessions of one scenario
-// (empty means all).
-func (s *Store) AggregateScenario(scenario string) (*engine.Aggregator, error) {
-	agg := engine.NewAggregator(s.Len())
+// Aggregate folds every stored row into fresh engine partials, cold:
+// it never touches the store's incremental partials or their
+// partials.vagg snapshot, so checks that compare served reports
+// against it keep an independent side. Its Report is byte-identical to
+// the in-RAM report of the campaign(s) that produced the store.
+func (s *Store) Aggregate() (*engine.Partials, error) {
+	p := engine.NewPartials()
 	err := s.Scan(func(row engine.SessionRow) error {
-		if scenario == "" || row.Scenario == scenario {
-			agg.AddRow(row)
-		}
+		p.FoldRow(row, 0)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return agg, nil
+	return p, nil
 }
 
 // Merge folds one or more source stores into a fresh store at dst — the
