@@ -123,23 +123,21 @@ type campaignOptions struct {
 	armsSet bool
 
 	// Execution.
-	workers        int
-	samples        int
-	seed           int64
-	shardIndex     int
-	shardCount     int // 0 = unsharded
-	disableCache   bool
-	keepAbductions bool
-	onResult       func(FleetSessionResult)
-	onProgress     func(done, total int)
-	sinks          []FleetSink
+	workers      int
+	samples      int
+	seed         int64
+	shardIndex   int
+	shardCount   int // 0 = unsharded
+	disableCache bool
+	onResult     func(FleetSessionResult)
+	onProgress   func(done, total int)
+	sinks        []FleetSink
 
 	// Persistence and serving.
 	storeDir      string
 	readOnly      bool
 	watch         bool
 	watchInterval time.Duration
-	segmentBytes  int64
 	readCache     int
 	resume        bool
 
@@ -422,18 +420,6 @@ func WithWatchInterval(d time.Duration) CampaignOption {
 	}
 }
 
-// WithSegmentBytes caps a store segment's size before appends rotate to
-// a fresh file (default store.DefaultSegmentBytes).
-func WithSegmentBytes(n int64) CampaignOption {
-	return func(o *campaignOptions) error {
-		if n < 0 {
-			return fmt.Errorf("veritas: segment bytes %d is negative", n)
-		}
-		o.segmentBytes = n
-		return nil
-	}
-}
-
 // WithReadCache sizes the serving layer's in-process read cache of
 // decoded sessions (0 picks the default 256, negative disables).
 func WithReadCache(entries int) CampaignOption {
@@ -489,16 +475,6 @@ func WithProgressCounts(fn func(done, total int)) CampaignOption {
 			return errors.New("veritas: WithProgressCounts(nil)")
 		}
 		o.onProgress = fn
-		return nil
-	}
-}
-
-// WithKeepAbductions retains each session's posterior in its result.
-// Off by default: posteriors are large, and fleet-scale runs only need
-// the aggregates.
-func WithKeepAbductions() CampaignOption {
-	return func(o *campaignOptions) error {
-		o.keepAbductions = true
 		return nil
 	}
 }
@@ -856,10 +832,9 @@ func (c *Campaign) ensureStoreLocked() (*FleetStore, error) {
 		return nil, errors.New("veritas: campaign has no store (use WithStore)")
 	}
 	opt := store.Options{
-		SegmentBytes: c.opt.segmentBytes,
-		ReadOnly:     c.opt.readOnly,
-		Telemetry:    c.reg,
-		Tracer:       c.trc,
+		ReadOnly:  c.opt.readOnly,
+		Telemetry: c.reg,
+		Tracer:    c.trc,
 	}
 	if c.opt.watch {
 		// Watch mode tails whatever campaign owns the directory;
@@ -939,17 +914,16 @@ func (c *Campaign) checkShardMeta(st *store.Store) error {
 // engineConfig maps the execution options onto the engine.
 func (c *Campaign) engineConfig() engine.Config {
 	return engine.Config{
-		Workers:        c.opt.workers,
-		Samples:        c.opt.samples,
-		Seed:           c.opt.seed,
-		ShardIndex:     c.opt.shardIndex,
-		ShardCount:     c.opt.shardCount,
-		DisableCache:   c.opt.disableCache,
-		KeepAbductions: c.opt.keepAbductions,
-		OnResult:       c.opt.onResult,
-		OnProgress:     c.opt.onProgress,
-		Telemetry:      c.reg,
-		Tracer:         c.trc,
+		Workers:      c.opt.workers,
+		Samples:      c.opt.samples,
+		Seed:         c.opt.seed,
+		ShardIndex:   c.opt.shardIndex,
+		ShardCount:   c.opt.shardCount,
+		DisableCache: c.opt.disableCache,
+		OnResult:     c.opt.onResult,
+		OnProgress:   c.opt.onProgress,
+		Telemetry:    c.reg,
+		Tracer:       c.trc,
 	}
 }
 

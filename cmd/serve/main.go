@@ -16,7 +16,8 @@
 //	                              requests answer 304 Not Modified
 //	GET /v1/report/cdf            one arm/metric/estimator empirical CDF
 //	GET /v1/report/series         the raw per-session value series
-//	GET /v1/report/percentiles    percentile table (?p=50,95,99)
+//	GET /v1/report/percentiles    percentile table of one arm
+//	                              (?arm=<arm>&percentiles=50,95,99)
 //	GET /v1/status                store + telemetry snapshot as JSON
 //	GET /metrics                  telemetry in Prometheus text format
 //	GET /v1/trace                 tail-sampled traces as Chrome trace-event

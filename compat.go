@@ -10,7 +10,7 @@ import (
 	"net/http"
 
 	"veritas/internal/engine"
-	"veritas/internal/store"
+	"veritas/internal/serve"
 )
 
 type (
@@ -83,7 +83,7 @@ func NewFleetArm(name string, w WhatIf) (FleetArm, error) { return NewArm(name, 
 // Deprecated: use Campaign.Handler on a campaign built with WithStore
 // and WithReadCache.
 func NewStoreHandler(s *FleetStore, cacheEntries int) http.Handler {
-	return store.NewHandler(s, store.ServeOptions{CacheEntries: cacheEntries})
+	return serve.New(s, serve.WithCacheEntries(cacheEntries))
 }
 
 // ServeStore serves the query API over an open store on addr until ctx

@@ -344,7 +344,7 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 		// workers are still appending, /v1/live/report (and cdf, series,
 		// percentiles) serves the combined shard aggregates — the same
 		// numbers the folded store will serve once the dispatch lands.
-		live := serve.NewLive(dir, serve.WithWatchInterval(250*time.Millisecond))
+		live := serve.NewLive(dir)
 		defer live.Close()
 		mux := http.NewServeMux()
 		mux.Handle("/", tracker.Handler())

@@ -127,7 +127,7 @@ type Dispatcher struct {
 	// live serves /v1/live/* over the accepted (and still-uploading)
 	// shard stores while the campaign runs — the incremental view;
 	// /v1/report stays 503 until the fold, as always.
-	live *store.LiveHandler
+	live *serve.LiveHandler
 }
 
 // New builds a dispatcher: lays out (or adopts) the shard directory,
@@ -154,7 +154,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		start:  time.Now(),
 		dirs:   dirs,
 		agents: make(map[string]*agentInfo),
-		live:   store.NewLiveHandler(cfg.Dir, store.ServeOptions{WatchInterval: 250 * time.Millisecond}),
+		live:   serve.NewLive(cfg.Dir),
 	}
 	d.status.SetAgentSource(d.agentRows)
 	// Adopt shard stores a previous fleet run completed: anything that

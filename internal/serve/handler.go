@@ -1,4 +1,4 @@
-package store
+package serve
 
 import (
 	"container/list"
@@ -11,51 +11,10 @@ import (
 
 	"veritas/internal/engine"
 	"veritas/internal/stats"
+	"veritas/internal/store"
 	"veritas/internal/telemetry"
 	"veritas/internal/tracing"
 )
-
-// ServeOptions configures the HTTP query handler.
-//
-// Deprecated uses of this struct via NewHandler keep working; new code
-// should build handlers through veritas/internal/serve, whose options
-// compile down to exactly this struct.
-type ServeOptions struct {
-	// CacheEntries bounds the in-process read cache of decoded session
-	// rows (default 256; negative disables caching).
-	CacheEntries int
-	// Telemetry is the registry /metrics and /v1/status expose —
-	// usually the campaign's, so engine and store metrics appear
-	// alongside the serving layer's own request counters and row-cache
-	// fold-ins. Nil gets a private registry: the endpoints then carry
-	// serve-side metrics only.
-	Telemetry *telemetry.Registry
-	// Tracer, when set, records a tail-sampled trace per served request
-	// (5xx responses count as errored) and is what GET /v1/trace exports
-	// as Chrome trace-event JSON. Nil disables request tracing; the
-	// endpoint then serves an empty (but valid) trace file.
-	Tracer *tracing.Tracer
-	// TraceSource, when set, overrides the trace set /v1/trace exports —
-	// the facade uses it to serve a fleet-merged view (the campaign's own
-	// traces plus what dispatch workers streamed up) instead of just the
-	// local tracer's.
-	TraceSource func() []tracing.Trace
-	// WatchInterval rate-limits the store refresh a handler over a
-	// watch-mode store (OpenWatch) runs before answering: at most one
-	// refresh per interval, 0 meaning every request re-checks. Ignored
-	// for ordinary stores, which never change shape under a reader.
-	WatchInterval time.Duration
-}
-
-func (o ServeOptions) cacheEntries() int {
-	if o.CacheEntries == 0 {
-		return 256
-	}
-	if o.CacheEntries < 0 {
-		return 0
-	}
-	return o.CacheEntries
-}
 
 // reportCacheCap bounds the per-query response cache. The key space is
 // per (endpoint, filter) combination, so a scan of percentile spellings
@@ -87,13 +46,13 @@ const reportCacheCap = 256
 // large the corpus has grown.
 //
 // Hot sessions are served from a bounded LRU of decoded rows. A handler
-// over a writable store picks up appends through the shared *Store
-// handle; over a watch store (OpenWatch) each request first refreshes
-// the tail — rate-limited by ServeOptions.WatchInterval — so a server
+// over a writable store picks up appends through the shared *store.Store
+// handle; over a watch store (store.OpenWatch) each request first
+// refreshes the tail — rate-limited by WithWatchInterval — so a server
 // started mid-campaign tracks the campaign live. A plain read-only
 // store is a snapshot: restart (or reopen) to see later progress.
 type handler struct {
-	s      *Store
+	s      *store.Store
 	mux    *http.ServeMux
 	rows   *rowCache
 	reg    *telemetry.Registry
@@ -145,32 +104,25 @@ func (c *reportCache) reset() {
 	c.m = nil
 }
 
-// NewHandler builds the query handler over an open store.
-//
-// Deprecated: use veritas/internal/serve.New, which builds the same
-// handler from functional options. NewHandler remains as a
-// compatibility shim and compiles against the same implementation.
-func NewHandler(s *Store, opt ServeOptions) http.Handler { return newHandler(s, opt) }
-
-func newHandler(s *Store, opt ServeOptions) http.Handler {
-	reg := opt.Telemetry
+func newHandler(s *store.Store, c config) http.Handler {
+	reg := c.telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	h := &handler{
 		s:          s,
-		rows:       newRowCache(opt.cacheEntries()),
+		rows:       newRowCache(c.rowCacheEntries()),
 		reg:        reg,
-		trc:        opt.Tracer,
-		traces:     opt.TraceSource,
+		trc:        c.tracer,
+		traces:     c.traceSource,
 		watchEvery: -1,
 	}
 	if s.IsWatch() {
-		h.watchEvery = opt.WatchInterval
+		h.watchEvery = c.watchInterval
 		h.refreshErrs = reg.Counter("veritas_serve_watch_refresh_errors_total")
 	}
 	if h.traces == nil {
-		h.traces = opt.Tracer.Traces
+		h.traces = c.tracer.Traces
 	}
 	// The row cache keeps its own counters (they predate telemetry);
 	// fold them in as callback metrics rather than double-counting.
@@ -199,7 +151,7 @@ func newHandler(s *Store, opt ServeOptions) http.Handler {
 }
 
 // maybeRefresh tails the watch store before a request is answered, at
-// most once per WatchInterval. Refresh errors keep the last good view
+// most once per watch interval. Refresh errors keep the last good view
 // serving (a campaign mid-rotation is not an outage) and are counted.
 func (h *handler) maybeRefresh() {
 	if h.watchEvery < 0 {
@@ -313,7 +265,7 @@ func (h *handler) health(w http.ResponseWriter, r *http.Request) {
 func (h *handler) sessions(w http.ResponseWriter, r *http.Request) {
 	infos := h.s.Sessions(r.URL.Query().Get("scenario"))
 	if infos == nil {
-		infos = []SessionInfo{}
+		infos = []store.SessionInfo{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(infos), "sessions": infos})
 }
@@ -349,7 +301,7 @@ func (h *handler) session(w http.ResponseWriter, r *http.Request) {
 func (h *handler) scenarios(w http.ResponseWriter, r *http.Request) {
 	scens := h.s.Scenarios()
 	if scens == nil {
-		scens = []ScenarioInfo{}
+		scens = []store.ScenarioInfo{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"scenarios": scens})
 }

@@ -1,17 +1,17 @@
-package store
+package serve
 
 // The live query tier over a dispatching campaign. While shards are
 // still being written by workers, the campaign's folded store does not
 // exist yet — but the per-shard stores do, and each is tailable with
-// OpenWatch. LiveHandler watches the shard directory, tails every shard
-// store, and serves the report family over their combined partial
+// store.OpenWatch. LiveHandler watches the shard directory, tails every
+// shard store, and serves the report family over their combined partial
 // aggregates — the same bodies the folded store will serve, available
 // mid-dispatch.
 //
 // Shards are combined by folding each store's partial digests in shard
-// order (the same precedence Fold gives duplicate session keys), so a
-// session re-run on a later shard supersedes the earlier record exactly
-// as the fold will resolve it.
+// order (the same precedence store.Fold gives duplicate session keys),
+// so a session re-run on a later shard supersedes the earlier record
+// exactly as the fold will resolve it.
 //
 // The handler mounts under /v1/live/* rather than /v1/* because the
 // dispatch status listener already promises "/v1/report returns the
@@ -26,10 +26,11 @@ import (
 	"time"
 
 	"veritas/internal/engine"
+	"veritas/internal/store"
 )
 
 // LiveHandler serves the report family over the shard stores of a
-// still-running dispatch. Create with NewLiveHandler; it implements
+// still-running dispatch. Create with NewLive; it implements
 // http.Handler with routes:
 //
 //	GET /v1/live/report[ /cdf | /series | /percentiles ]
@@ -46,8 +47,8 @@ type LiveHandler struct {
 	mux    *http.ServeMux
 
 	mu          sync.Mutex
-	stores      map[string]*Store // shard dir -> watch store
-	order       []string          // shard dirs in shard order, as last discovered
+	stores      map[string]*store.Store // shard dir -> watch store
+	order       []string                // shard dirs in shard order, as last discovered
 	lastRefresh time.Time
 	lastFp      string
 	combined    *engine.Partials
@@ -57,17 +58,17 @@ type LiveHandler struct {
 	reports reportCache
 }
 
-// NewLiveHandler tails the shard stores under parent (the dispatcher's
-// shard directory, which may not exist yet) and serves live aggregates.
-// opt.WatchInterval rate-limits directory rediscovery and shard
-// refresh (0 = every request). The tailed shard stores are deliberately
-// left un-instrumented: dozens of them registering the per-store gauges
+// newLive tails the shard stores under parent (the dispatcher's shard
+// directory, which may not exist yet) and serves live aggregates. every
+// rate-limits directory rediscovery and shard refresh (0 = every
+// request). The tailed shard stores are deliberately left
+// un-instrumented: dozens of them registering the per-store gauges
 // against one registry would just overwrite each other.
-func NewLiveHandler(parent string, opt ServeOptions) *LiveHandler {
+func newLive(parent string, every time.Duration) *LiveHandler {
 	h := &LiveHandler{
 		parent: parent,
-		every:  opt.WatchInterval,
-		stores: make(map[string]*Store),
+		every:  every,
+		stores: make(map[string]*store.Store),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/live/report", h.report)
@@ -95,7 +96,7 @@ func (h *LiveHandler) refresh() (*engine.Partials, uint64) {
 		return h.combined, h.combGen
 	}
 	h.lastRefresh = time.Now()
-	dirs, err := DiscoverShards(h.parent)
+	dirs, err := store.DiscoverShards(h.parent)
 	if err != nil {
 		// Parent missing, or a shard.json unreadable mid-write.
 		return h.lastGoodLocked()
@@ -107,7 +108,7 @@ func (h *LiveHandler) refresh() (*engine.Partials, uint64) {
 			continue // a fleetd upload still being staged
 		}
 		if _, ok := h.stores[dir]; !ok {
-			st, err := OpenWatch(dir, Options{})
+			st, err := store.OpenWatch(dir, store.Options{})
 			if err != nil {
 				continue // not a readable store yet; next round
 			}

@@ -1,4 +1,4 @@
-package store
+package serve
 
 // Tests for the live query tier over a dispatching campaign's shard
 // directory.
@@ -13,16 +13,17 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/store"
 )
 
 // shardFixture lays out parent/shard-N.store directories with shard
 // metadata and the given row slices.
-func shardFixture(t *testing.T, parent string, shards [][]engine.SessionRow) []*Store {
+func shardFixture(t testing.TB, parent string, shards [][]engine.SessionRow) []*store.Store {
 	t.Helper()
-	out := make([]*Store, len(shards))
+	out := make([]*store.Store, len(shards))
 	for i, rows := range shards {
 		dir := filepath.Join(parent, fmt.Sprintf("shard-%d.store", i))
-		st, err := Create(dir, Options{})
+		st, err := store.Create(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +32,7 @@ func shardFixture(t *testing.T, parent string, shards [][]engine.SessionRow) []*
 				t.Fatal(err)
 			}
 		}
-		if err := WriteShardMeta(dir, ShardMeta{Index: i, Count: len(shards)}); err != nil {
+		if err := store.WriteShardMeta(dir, store.ShardMeta{Index: i, Count: len(shards)}); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = st
@@ -46,7 +47,7 @@ func TestLiveHandlerCombinesShards(t *testing.T) {
 	rowsB := []engine.SessionRow{testRow(2, "fcc"), testRow(3, "wifi")}
 	writers := shardFixture(t, parent, [][]engine.SessionRow{rowsA, rowsB})
 
-	h := NewLiveHandler(parent, ServeOptions{})
+	h := newLive(parent, 0)
 	defer h.Close()
 
 	rec := doGet(t, h, "/v1/live/report", "")
@@ -55,7 +56,7 @@ func TestLiveHandlerCombinesShards(t *testing.T) {
 	}
 	// The live report must equal the report of one store holding every
 	// shard's rows (same rows -> same sorted view -> same bytes).
-	all, err := Create(t.TempDir(), Options{})
+	all, err := store.Create(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestLiveHandlerCombinesShards(t *testing.T) {
 
 func TestLiveHandlerEmptyParentAndLateShards(t *testing.T) {
 	parent := filepath.Join(t.TempDir(), "not-yet")
-	h := NewLiveHandler(parent, ServeOptions{})
+	h := newLive(parent, 0)
 	defer h.Close()
 
 	rec := doGet(t, h, "/v1/live/report", "")

@@ -1,4 +1,4 @@
-package store
+package serve
 
 // The /v1 query surface's shared request grammar. Every report-family
 // endpoint accepts the same filter parameters, parsed in one place:
@@ -26,6 +26,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -151,7 +152,9 @@ func parseReportQuery(vals url.Values) (*reportQuery, *apiError) {
 		if err != nil {
 			return nil, errBadParam("percentiles", "percentile %q is not a number", strings.TrimSpace(part))
 		}
-		if p < 0 || p > 100 {
+		// NaN passes both range comparisons and would reach the
+		// percentile index as int(NaN); reject it with the rest.
+		if math.IsNaN(p) || p < 0 || p > 100 {
 			return nil, errBadParam("percentiles", "percentile %g outside [0, 100]", p)
 		}
 		q.percentiles = append(q.percentiles, p)

@@ -1,4 +1,4 @@
-package store
+package store_test
 
 // Tests for the redesigned /v1 query surface: the shared error
 // envelope, the report-family endpoints (cdf, series, percentiles),
@@ -11,8 +11,14 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/serve"
 	"veritas/internal/stats"
+	"veritas/internal/store"
 )
+
+// defaultPercentiles is the rank list the query grammar documents for
+// an absent ?percentiles=.
+var defaultPercentiles = []float64{10, 25, 50, 75, 90, 95, 99}
 
 // doGet issues a GET with an optional If-None-Match validator.
 func doGet(t *testing.T, h http.Handler, path, etag string) *httptest.ResponseRecorder {
@@ -59,6 +65,8 @@ func TestServeErrorEnvelope(t *testing.T) {
 		{"missing arm", "/v1/report/cdf", 400, "arm"},
 		{"unknown arm", "/v1/report/percentiles?arm=nosuch", 404, "arm"},
 		{"bad percentile", "/v1/report/percentiles?arm=bba-5s&percentiles=101", 400, "percentiles"},
+		{"NaN percentile", "/v1/report/percentiles?arm=bba-5s&percentiles=NaN", 400, "percentiles"},
+		{"NaN in percentile list", "/v1/report/percentiles?arm=bba-5s&percentiles=50,NaN", 400, "percentiles"},
 		{"unknown abr", "/v1/report?abr=nosuch", 404, "abr"},
 		{"unknown session", "/v1/sessions/nosuch-999", 404, ""},
 	}
@@ -112,7 +120,7 @@ func TestServeEmptyScenarioRegression(t *testing.T) {
 // store's partials (themselves pinned byte-identical to the aggregator
 // elsewhere), so endpoint bodies are checked against an independent
 // computation of the same numbers.
-func seriesFromStore(t *testing.T, st *Store, arm, metric, estimator string) []float64 {
+func seriesFromStore(t *testing.T, st *store.Store, arm, metric, estimator string) []float64 {
 	t.Helper()
 	p, err := st.Partials()
 	if err != nil {
@@ -261,12 +269,12 @@ func TestServeABRFilter(t *testing.T) {
 // served /v1/report body equals the full-recompute aggregator's JSON
 // at every generation.
 func TestServeReportMatchesRecomputeAtEveryGeneration(t *testing.T) {
-	st, err := Create(t.TempDir(), Options{})
+	st, err := store.Create(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	h := NewHandler(st, ServeOptions{})
+	h := serve.New(st)
 	for i := 0; i < 12; i++ {
 		scen := []string{"fcc", "lte", "wifi"}[i%3]
 		if err := st.Append(testRow(i, scen)); err != nil {

@@ -1,4 +1,8 @@
-package store
+package store_test
+
+// Black-box tests of the /v1 query surface over real stores, driven
+// through serve.New: the storage engine carries no HTTP itself, so these
+// live in the external test package.
 
 import (
 	"bytes"
@@ -7,18 +11,27 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/serve"
+	"veritas/internal/store"
+)
+
+var (
+	testRow     = store.RowFixture
+	fillStore   = store.FillStore
+	fleetCorpus = store.FleetCorpus
 )
 
 // serveFixture runs a small real campaign into a store and returns the
 // handler plus the in-RAM run for comparison.
-func serveFixture(t *testing.T) (http.Handler, *engine.Result, *Store) {
+func serveFixture(t *testing.T) (http.Handler, *engine.Result, *store.Store) {
 	t.Helper()
 	corpus, arms := fleetCorpus(t)
 	dir := t.TempDir()
-	st, err := Create(dir, Options{})
+	st, err := store.Create(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +40,12 @@ func serveFixture(t *testing.T) (http.Handler, *engine.Result, *Store) {
 		t.Fatal(err)
 	}
 	st.Close()
-	ro, err := Open(dir, Options{ReadOnly: true})
+	ro, err := store.Open(dir, store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ro.Close() })
-	return NewHandler(ro, ServeOptions{CacheEntries: 8}), res, ro
+	return serve.New(ro, serve.WithCacheEntries(8)), res, ro
 }
 
 func get(t *testing.T, h http.Handler, path string) (int, []byte) {
@@ -53,7 +66,7 @@ func TestServeSessionsAndScenarios(t *testing.T) {
 	}
 	var list struct {
 		Count    int
-		Sessions []SessionInfo
+		Sessions []store.SessionInfo
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
@@ -63,7 +76,7 @@ func TestServeSessionsAndScenarios(t *testing.T) {
 	}
 
 	code, body = get(t, h, "/v1/sessions?scenario=lte")
-	var lte struct{ Sessions []SessionInfo }
+	var lte struct{ Sessions []store.SessionInfo }
 	if err := json.Unmarshal(body, &lte); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +85,7 @@ func TestServeSessionsAndScenarios(t *testing.T) {
 	}
 
 	code, body = get(t, h, "/v1/scenarios")
-	var sc struct{ Scenarios []ScenarioInfo }
+	var sc struct{ Scenarios []store.ScenarioInfo }
 	if err := json.Unmarshal(body, &sc); err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +178,13 @@ func TestServeUnknownScenarioIs404(t *testing.T) {
 // overwriting a session must invalidate both the row cache and the
 // report cache, while untouched rows keep hitting.
 func TestServeSeesOverwritesThroughWritableStore(t *testing.T) {
-	st, err := Create(t.TempDir(), Options{})
+	st, err := store.Create(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	fillStore(t, st, 3, "fcc")
-	h := NewHandler(st, ServeOptions{CacheEntries: 8})
+	h := serve.New(st, serve.WithCacheEntries(8))
 
 	_, before := get(t, h, "/v1/sessions/fcc-001")
 	_, reportBefore := get(t, h, "/v1/report")
@@ -267,7 +280,7 @@ func TestServeReportETag(t *testing.T) {
 func TestServeReportETagColdPathAndInvalidScenario(t *testing.T) {
 	_, _, ro := serveFixture(t)
 	// Fresh handler: no cached report body yet, the 304 must still work.
-	cold := NewHandler(ro, ServeOptions{CacheEntries: 8})
+	cold := serve.New(ro, serve.WithCacheEntries(8))
 	req := httptest.NewRequest(http.MethodGet, "/v1/report", nil)
 	req.Header.Set("If-None-Match", "*")
 	rec := httptest.NewRecorder()
@@ -288,7 +301,7 @@ func TestServeReportETagColdPathAndInvalidScenario(t *testing.T) {
 func TestServeReportETagMovesWithGeneration(t *testing.T) {
 	corpus, arms := fleetCorpus(t)
 	dir := t.TempDir()
-	st, err := Create(dir, Options{})
+	st, err := store.Create(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +309,7 @@ func TestServeReportETagMovesWithGeneration(t *testing.T) {
 	if _, err := engine.Run(context.Background(), engine.Config{Workers: 2, Samples: 1, Seed: 1, Sink: st}, corpus, arms); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(st, ServeOptions{CacheEntries: 8})
+	h := serve.New(st, serve.WithCacheEntries(8))
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/report", nil)
 	rec := httptest.NewRecorder()
@@ -321,5 +334,66 @@ func TestServeReportETagMovesWithGeneration(t *testing.T) {
 	}
 	if got := rec.Header().Get("ETag"); got == etag {
 		t.Errorf("ETag %q did not move with the store generation", got)
+	}
+}
+
+// TestWatchServeETagPerGeneration pins the watch store served over
+// HTTP: its /v1/report ETag changes exactly once per appended row (one
+// generation bump), conditional requests answer 304 while the store is
+// quiet, and a stale validator answers 200 again.
+func TestWatchServeETagPerGeneration(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.Create(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fillStore(t, w, 2, "fcc")
+
+	ws, err := store.OpenWatch(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	h := serve.New(ws) // watch interval 0: refresh every request
+
+	etagOf := func() string {
+		t.Helper()
+		rec := doGet(t, h, "/v1/report", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/report: %d %s", rec.Code, rec.Body.Bytes())
+		}
+		tag := rec.Header().Get("ETag")
+		if !strings.HasPrefix(tag, `"report-`) {
+			t.Fatalf("ETag %q is not generation-keyed", tag)
+		}
+		return tag
+	}
+
+	e1 := etagOf()
+	if again := etagOf(); again != e1 {
+		t.Fatalf("ETag moved with no writes: %q -> %q", e1, again)
+	}
+	if rec := doGet(t, h, "/v1/report", e1); rec.Code != http.StatusNotModified {
+		t.Fatalf("conditional GET with current ETag: %d, want 304", rec.Code)
+	}
+
+	// One append = one generation = one ETag step, observed through a
+	// watch-triggered incremental reopen, not a fresh handler.
+	if err := w.Append(testRow(7, "fcc")); err != nil {
+		t.Fatal(err)
+	}
+	e2 := etagOf()
+	if e2 == e1 {
+		t.Fatal("ETag did not move after an append")
+	}
+	if again := etagOf(); again != e2 {
+		t.Fatalf("ETag moved twice for one append: %q -> %q", e2, again)
+	}
+	if rec := doGet(t, h, "/v1/report", e1); rec.Code != http.StatusOK {
+		t.Fatalf("conditional GET with stale ETag: %d, want 200", rec.Code)
+	}
+	if rec := doGet(t, h, "/v1/report", e2); rec.Code != http.StatusNotModified {
+		t.Fatalf("conditional GET with fresh ETag: %d, want 304", rec.Code)
 	}
 }
