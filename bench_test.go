@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"veritas/internal/abduction"
+	"veritas/internal/abr"
 	"veritas/internal/experiments"
 )
 
@@ -84,6 +85,60 @@ func BenchmarkAbduction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Abduct(sess.Log, AbductionConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// recordingABR runs an inner algorithm and keeps every context it was
+// asked to choose for.
+type recordingABR struct {
+	ABR
+	ctxs []abr.Context
+}
+
+func (r *recordingABR) Choose(ctx abr.Context) int {
+	r.ctxs = append(r.ctxs, ctx)
+	return r.ABR.Choose(ctx)
+}
+
+// BenchmarkMPCChoose measures one MPC planning decision, cycling through
+// the 300 decision contexts of a logged MPC session.
+func BenchmarkMPCChoose(b *testing.B) {
+	gt, err := GenerateTrace(DefaultTraceConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &recordingABR{ABR: NewMPC()}
+	if _, err := RunSession(SessionConfig{Trace: gt, ABR: rec}); err != nil {
+		b.Fatal(err)
+	}
+	m := NewMPC()
+	for _, ctx := range rec.ctxs {
+		m.Choose(ctx) // size the instance's planning buffers
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Choose(rec.ctxs[i%len(rec.ctxs)])
+	}
+}
+
+// BenchmarkBaselineTrace measures building the Baseline trace every
+// what-if replay of a session shares, from a 300-chunk MPC log.
+func BenchmarkBaselineTrace(b *testing.B) {
+	gt, err := GenerateTrace(DefaultTraceConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := RunSession(SessionConfig{Trace: gt, ABR: NewMPC()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := abduction.BaselineTrace(sess.Log, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"veritas/internal/hmm"
 	"veritas/internal/player"
@@ -88,6 +89,13 @@ type Abduction struct {
 
 	log *player.SessionLog
 	cfg Config
+
+	// The traces every counterfactual replays over, built on first use
+	// and shared by all of them (a trace.Trace is immutable).
+	replayOnce sync.Once
+	baseline   *trace.Trace
+	samples    []*trace.Trace
+	replayErr  error
 }
 
 // Observations converts a session log into the EHMM's evidence sequence.
@@ -105,6 +113,9 @@ func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64
 	}
 	if deltaSecs <= 0 {
 		return nil, fmt.Errorf("abduction: delta %v <= 0", deltaSecs)
+	}
+	if err := checkChunkOrder(log.Records); err != nil {
+		return nil, err
 	}
 	var obs []hmm.Observation
 	if sc != nil {
@@ -202,6 +213,18 @@ func (a *Abduction) SampleTraces() []*trace.Trace {
 		out[i] = a.pathToTrace(p)
 	}
 	return out
+}
+
+// replayTraces returns the Baseline trace and the K sample traces,
+// building them once per abduction.
+func (a *Abduction) replayTraces() (*trace.Trace, []*trace.Trace, error) {
+	a.replayOnce.Do(func() {
+		a.baseline, a.replayErr = BaselineTrace(a.log, 1)
+		if a.replayErr == nil {
+			a.samples = a.SampleTraces()
+		}
+	})
+	return a.baseline, a.samples, a.replayErr
 }
 
 // pathToTrace expands per-chunk states into a per-interval trace:

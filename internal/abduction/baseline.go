@@ -9,6 +9,29 @@ import (
 	"veritas/internal/trace"
 )
 
+// checkChunkOrder rejects a log whose chunks run backwards: a download
+// that ends before it starts, or a chunk that starts before the previous
+// one. Times are finite seconds from session start, so none is negative.
+// Zero-length downloads (End == Start) are legal. Every log the player
+// records passes; the check makes the Baseline sweep exact and keeps
+// abduction from inferring over reordered evidence.
+func checkChunkOrder(recs []player.ChunkRecord) error {
+	for i := range recs {
+		r := &recs[i]
+		switch {
+		case math.IsNaN(r.Start) || math.IsInf(r.Start, 0) || math.IsNaN(r.End) || math.IsInf(r.End, 0):
+			return fmt.Errorf("abduction: chunk %d: non-finite download window [%v, %v]", i, r.Start, r.End)
+		case r.Start < 0:
+			return fmt.Errorf("abduction: chunk %d: starts at %v, before the session", i, r.Start)
+		case r.End < r.Start:
+			return fmt.Errorf("abduction: chunk %d: download ends at %v before it starts at %v", i, r.End, r.Start)
+		case i > 0 && r.Start < recs[i-1].Start:
+			return fmt.Errorf("abduction: chunk %d: starts at %v, before chunk %d at %v", i, r.Start, i-1, recs[i-1].Start)
+		}
+	}
+	return nil
+}
+
 // BaselineTrace builds the paper's Baseline GTBW estimate from a session
 // log: the observed throughput of each chunk is assumed to hold over the
 // chunk's whole download window, and bandwidth during off-periods (no
@@ -17,7 +40,9 @@ import (
 // in most video streaming evaluations today" that Veritas outperforms.
 //
 // The result is sampled onto a uniform grid of gridSecs (1 s captures
-// the interpolation well below typical off-period lengths).
+// the interpolation well below typical off-period lengths). A grid point
+// inside several (overlapping) windows takes the earliest chunk's
+// throughput. The log's chunks must be in order (see checkChunkOrder).
 func BaselineTrace(log *player.SessionLog, gridSecs float64) (*trace.Trace, error) {
 	if log == nil || len(log.Records) == 0 {
 		return nil, errors.New("abduction: empty session log")
@@ -26,42 +51,45 @@ func BaselineTrace(log *player.SessionLog, gridSecs float64) (*trace.Trace, erro
 		return nil, fmt.Errorf("abduction: grid %v <= 0", gridSecs)
 	}
 	recs := log.Records
-	horizon := recs[len(recs)-1].End + gridSecs
+	if err := checkChunkOrder(recs); err != nil {
+		return nil, err
+	}
+	first, last := &recs[0], &recs[len(recs)-1]
+	horizon := last.End + gridSecs
 	n := int(math.Ceil(horizon/gridSecs)) + 1
 	vals := make([]float64, n)
 
-	valueAt := func(t float64) float64 {
-		// Inside a download window: that chunk's observed throughput.
-		for _, r := range recs {
-			if t >= r.Start && t <= r.End {
-				return r.ThroughputMbps
-			}
+	// One sweep over the grid. Starts are non-decreasing, so as t grows
+	// both pointers only advance: lo is the first chunk whose window has
+	// not closed by t (End >= t), hi the number of chunks started by t
+	// (Start <= t). t lies in chunk lo's window exactly when lo < hi, and
+	// no earlier chunk's window holds it.
+	lo, hi := 0, 0
+	for i := range vals {
+		t := float64(i) * gridSecs
+		for lo < len(recs) && recs[lo].End < t {
+			lo++
 		}
-		// Before the first chunk / after the last: hold the edge value.
-		if t < recs[0].Start {
-			return recs[0].ThroughputMbps
+		for hi < len(recs) && recs[hi].Start <= t {
+			hi++
 		}
-		last := recs[len(recs)-1]
-		if t > last.End {
-			return last.ThroughputMbps
+		switch {
+		case lo < hi:
+			// Inside a download window: that chunk's observed throughput.
+			vals[i] = recs[lo].ThroughputMbps
+		case hi == 0:
+			// Before the first chunk / after the last: hold the edge value.
+			vals[i] = first.ThroughputMbps
+		case hi == len(recs):
+			vals[i] = last.ThroughputMbps
+		default:
+			// Off-period: chunk hi-1 has ended and chunk hi not yet
+			// started. Linearly interpolate between their throughputs
+			// across the gap (which is positive: End < t < Start).
+			prev, next := &recs[hi-1], &recs[hi]
+			frac := (t - prev.End) / (next.Start - prev.End)
+			vals[i] = prev.ThroughputMbps + frac*(next.ThroughputMbps-prev.ThroughputMbps)
 		}
-		// Off-period: linear interpolation between the previous chunk's
-		// and next chunk's throughput across the gap.
-		for i := 0; i+1 < len(recs); i++ {
-			if t > recs[i].End && t < recs[i+1].Start {
-				span := recs[i+1].Start - recs[i].End
-				if span <= 0 {
-					return recs[i+1].ThroughputMbps
-				}
-				frac := (t - recs[i].End) / span
-				return recs[i].ThroughputMbps + frac*(recs[i+1].ThroughputMbps-recs[i].ThroughputMbps)
-			}
-		}
-		return last.ThroughputMbps
-	}
-
-	for i := 0; i < n; i++ {
-		vals[i] = valueAt(float64(i) * gridSecs)
 	}
 	return trace.FromSteps(gridSecs, vals)
 }

@@ -2,6 +2,7 @@ package abduction
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"veritas/internal/abr"
@@ -168,5 +169,74 @@ func TestAbductScratchReuseMatchesFresh(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// orderedLog is a three-chunk log in recording order; the cases below
+// break it one field at a time.
+func orderedLog() *player.SessionLog {
+	st := tcp.Fresh(0.080)
+	rec := func(i int, start, end float64) player.ChunkRecord {
+		return player.ChunkRecord{
+			Index: i, SizeBytes: 1e6, Start: start, End: end, TCP: st,
+			ThroughputMbps: 1e6 * 8 / 1e6 / (end - start),
+		}
+	}
+	return &player.SessionLog{
+		Records:      []player.ChunkRecord{rec(0, 0.5, 1.5), rec(1, 5.2, 6), rec(2, 6.5, 7.5)},
+		BufferCap:    5,
+		RTT:          0.080,
+		ChunkSeconds: 2,
+	}
+}
+
+// TestBackwardsChunksRejected: a log whose chunks run backwards — a
+// download ending before it starts, or a chunk starting before the
+// previous one (even within one δ interval, where the start intervals
+// still look ordered) — is rejected by every entry point, and the error
+// names the offending chunk. So are non-finite times (abduction spun on
+// a NaN start's interval gap) and negative ones (the sample traces
+// indexed interval -1). Zero-length downloads stay legal.
+func TestBackwardsChunksRejected(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(l *player.SessionLog)
+		chunk string // substring the error must contain; "" = accepted
+	}{
+		{"ordered", func(*player.SessionLog) {}, ""},
+		{"end before start", func(l *player.SessionLog) { l.Records[1].End = 5 }, "chunk 1"},
+		{"start before previous within one interval", func(l *player.SessionLog) { l.Records[2].Start, l.Records[2].End = 5, 5.1 }, "chunk 2"},
+		{"start before previous across intervals", func(l *player.SessionLog) { l.Records[2].Start, l.Records[2].End = 1.6, 2 }, "chunk 2"},
+		{"NaN start", func(l *player.SessionLog) { l.Records[2].Start = math.NaN() }, "chunk 2"},
+		{"infinite end", func(l *player.SessionLog) { l.Records[0].End = math.Inf(1) }, "chunk 0"},
+		{"negative start", func(l *player.SessionLog) { l.Records[0].Start, l.Records[0].End = -7, -6 }, "chunk 0"},
+		{"zero-length download", func(l *player.SessionLog) {
+			r := &l.Records[1]
+			r.End, r.SizeBytes, r.ThroughputMbps = r.Start, 0, 0
+		}, ""},
+		{"same start as previous", func(l *player.SessionLog) { l.Records[2].Start = 5.2 }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			log := orderedLog()
+			tc.edit(log)
+			check := func(entry string, err error) {
+				t.Helper()
+				switch {
+				case tc.chunk == "" && err != nil:
+					t.Errorf("%s: %v, want accepted", entry, err)
+				case tc.chunk != "" && err == nil:
+					t.Errorf("%s accepted a log with backwards chunks", entry)
+				case tc.chunk != "" && !strings.Contains(err.Error(), tc.chunk):
+					t.Errorf("%s: error %q does not name %s", entry, err, tc.chunk)
+				}
+			}
+			_, err := Observations(log, 5)
+			check("Observations", err)
+			_, err = Abduct(log, Config{NumSamples: 2})
+			check("Abduct", err)
+			_, err = BaselineTrace(log, 1)
+			check("BaselineTrace", err)
+		})
 	}
 }

@@ -63,9 +63,10 @@ type CounterfactualOutcome struct {
 // Counterfactual replays the what-if setting over the Baseline trace and
 // every Veritas sample trace. (The oracle replay over the true GTBW is
 // the caller's job, since only the experiment harness holds the ground
-// truth.)
+// truth.) Every setting replays over the same traces, built on the first
+// call; concurrent calls on one Abduction are safe.
 func (a *Abduction) Counterfactual(s Setting) (*CounterfactualOutcome, error) {
-	base, err := BaselineTrace(a.log, 1)
+	base, samples, err := a.replayTraces()
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +75,7 @@ func (a *Abduction) Counterfactual(s Setting) (*CounterfactualOutcome, error) {
 		return nil, err
 	}
 	out := &CounterfactualOutcome{Baseline: baseM}
-	for _, tr := range a.SampleTraces() {
+	for _, tr := range samples {
 		m, err := Replay(tr, s)
 		if err != nil {
 			return nil, err

@@ -201,3 +201,17 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// TestChooseAllocFree guards the planners' hot path: after one warm-up
+// call sizes the per-instance buffers, MPC and BOLA choose without
+// allocating.
+func TestChooseAllocFree(t *testing.T) {
+	v := testVideo(t)
+	ctx := ctxWith(v, 3, []float64{2.5, 3.1, 1.8, 2.9, 3.3, 2.2})
+	for _, alg := range []Algorithm{NewMPC(), NewBOLA()} {
+		alg.Choose(ctx)
+		if n := testing.AllocsPerRun(100, func() { alg.Choose(ctx) }); n != 0 {
+			t.Errorf("%s.Choose allocates %v times per call after warm-up, want 0", alg.Name(), n)
+		}
+	}
+}

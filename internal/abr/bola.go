@@ -16,6 +16,8 @@ type BOLA struct {
 	// rebuffering avoidance (default 5, as in the BOLA paper's
 	// recommended setting).
 	GammaP float64
+
+	utils []float64 // per-quality utilities, reused across calls
 }
 
 // NewBOLA returns BOLA Basic with the default γp.
@@ -38,7 +40,7 @@ func (b *BOLA) Choose(ctx Context) int {
 		return 0
 	}
 	// Utilities v_q = ln(S_q/S_min); v_0 = 0.
-	utils := make([]float64, nq)
+	utils := grow(&b.utils, nq)
 	for q := 0; q < nq; q++ {
 		utils[q] = math.Log(v.Size(chunk, q) / minSize)
 	}

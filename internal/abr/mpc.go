@@ -22,6 +22,10 @@ type MPC struct {
 	Robust bool
 
 	maxErr float64 // running max relative prediction error (robust mode)
+
+	// Per-call planning tables and DFS state, reused across calls.
+	dl, rates, switchCost, buffers, scores []float64
+	lasts, next                            []int
 }
 
 // NewMPC returns RobustMPC with the defaults used across the
@@ -81,6 +85,13 @@ func (m *MPC) predict(past []float64) float64 {
 }
 
 // Choose implements Algorithm.
+//
+// It enumerates quality sequences depth-first, in ascending quality order
+// at every depth, and skips a subtree once even a perfect completion
+// cannot beat the best sequence found so far. The arithmetic that does
+// not depend on the path is computed once per call into tables held in
+// buffers the instance reuses, so a warmed-up instance chooses without
+// allocating.
 func (m *MPC) Choose(ctx Context) int {
 	v := ctx.Video
 	pred := m.predict(ctx.PastThroughputMbps)
@@ -99,42 +110,109 @@ func (m *MPC) Choose(ctx Context) int {
 	}
 
 	nq := v.NumQualities()
-	bestQ, bestScore := 0, math.Inf(-1)
-	seq := make([]int, horizon)
+	maxRate := v.Quality(nq - 1).Mbps
+	rebufPenalty := m.rebufPenalty()
+	chunkSecs := v.ChunkSeconds()
 
-	var search func(depth int, buffer float64, lastQ int, score float64)
-	search = func(depth int, buffer float64, lastQ int, score float64) {
-		if depth == horizon {
-			if score > bestScore {
-				bestScore = score
-				bestQ = seq[0]
-			}
-			return
-		}
-		// Prune: even a perfect completion cannot add more than
-		// maxBitrate per remaining step.
-		maxRate := v.Quality(nq - 1).Mbps
-		if score+float64(horizon-depth)*maxRate <= bestScore {
-			return
-		}
-		chunk := ctx.ChunkIndex + depth
+	// Path-independent tables: predicted download seconds per (depth,
+	// quality), the ladder rates, and the switching penalty per
+	// (previous, next) quality pair.
+	dl := grow(&m.dl, horizon*nq)
+	for d := 0; d < horizon; d++ {
 		for q := 0; q < nq; q++ {
-			size := v.Size(chunk, q)
-			dl := size * 8 / 1e6 / pred // predicted download seconds
-			rebuf := math.Max(0, dl-buffer)
-			nb := math.Max(0, buffer-dl) + v.ChunkSeconds()
-			if nb > ctx.BufferCap {
-				nb = ctx.BufferCap
-			}
-			rate := v.Quality(q).Mbps
-			step := rate - m.rebufPenalty()*rebuf
-			if lastQ >= 0 {
-				step -= m.SmoothPenalty * math.Abs(rate-v.Quality(lastQ).Mbps)
-			}
-			seq[depth] = q
-			search(depth+1, nb, q, score+step)
+			dl[d*nq+q] = v.Size(ctx.ChunkIndex+d, q) * 8 / 1e6 / pred
 		}
 	}
-	search(0, ctx.BufferSeconds, ctx.LastQuality, 0)
+	rates := grow(&m.rates, nq)
+	for q := range rates {
+		rates[q] = v.Quality(q).Mbps
+	}
+	switchCost := grow(&m.switchCost, nq*nq)
+	for a := 0; a < nq; a++ {
+		for b := 0; b < nq; b++ {
+			switchCost[a*nq+b] = m.SmoothPenalty * math.Abs(rates[b]-rates[a])
+		}
+	}
+
+	// Iterative DFS. Node d on the current path holds its buffer level,
+	// the quality chosen to reach it and its accumulated score; next[d]
+	// is the next quality to try below it. The children of a node at the
+	// last depth are leaves, scored in one flat loop.
+	buffers, scores := grow(&m.buffers, horizon), grow(&m.scores, horizon)
+	lasts, next := grow(&m.lasts, horizon), grow(&m.next, horizon)
+
+	bestQ, bestScore := 0, math.Inf(-1)
+	buffers[0], lasts[0], scores[0], next[0] = ctx.BufferSeconds, ctx.LastQuality, 0, 0
+	first := 0 // quality chosen at depth 0 on the current path
+	for d := 0; d >= 0; {
+		buffer, last, base := buffers[d], lasts[d], scores[d]
+		row := dl[d*nq : (d+1)*nq]
+		if d == horizon-1 {
+			for q, t := range row {
+				step := qoeStep(rates[q], t, buffer, rebufPenalty)
+				if last >= 0 {
+					step -= switchCost[last*nq+q]
+				}
+				if score := base + step; score > bestScore {
+					bestScore = score
+					bestQ = first
+					if d == 0 {
+						bestQ = q
+					}
+				}
+			}
+			d--
+			continue
+		}
+		q := next[d]
+		if q == nq {
+			d--
+			continue
+		}
+		next[d] = q + 1
+		if d == 0 {
+			first = q
+		}
+		t := row[q]
+		step := qoeStep(rates[q], t, buffer, rebufPenalty)
+		if last >= 0 {
+			step -= switchCost[last*nq+q]
+		}
+		score := base + step
+		// Prune: even a perfect completion cannot add more than maxRate
+		// per remaining step.
+		if score+float64(horizon-d-1)*maxRate <= bestScore {
+			continue
+		}
+		nb := buffer - t
+		if nb < 0 {
+			nb = 0
+		}
+		nb += chunkSecs
+		if nb > ctx.BufferCap {
+			nb = ctx.BufferCap
+		}
+		d++
+		buffers[d], lasts[d], scores[d], next[d] = nb, q, score, 0
+	}
 	return clampQuality(bestQ, v)
+}
+
+// qoeStep is one chunk's QoE term before the switching penalty: its
+// rate, less the penalty for the rebuffering a download of t seconds
+// causes when buffer seconds are buffered.
+func qoeStep(rate, t, buffer, rebufPenalty float64) float64 {
+	rebuf := t - buffer
+	if rebuf < 0 {
+		rebuf = 0
+	}
+	return rate - rebufPenalty*rebuf
+}
+
+// grow returns (*buf)[:n], reallocating *buf only when it is too short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }

@@ -113,6 +113,7 @@ type Conn struct {
 	rng       *rand.Rand
 	rngDraws  int // jitter draws so far; lets Clone realign its stream
 	downloads int
+	cursor    trace.Cursor // bandwidth lookups; download rounds move forward
 }
 
 // ErrStalled is returned when a download can never finish because the
@@ -210,7 +211,7 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 	t := start
 	remaining := float64(tcp.Segments(sizeBytes))
 	for remaining > 0 {
-		gtbw := tr.At(t)
+		gtbw := c.cursor.At(tr, t)
 		if gtbw <= 0 {
 			next := tr.NextChange(t)
 			if math.IsInf(next, 1) {

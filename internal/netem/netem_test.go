@@ -261,3 +261,25 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Error("clone download mutated the original connection")
 	}
 }
+
+// TestDownloadAllocFree guards the emulator's round loop: once the
+// connection's trace cursor is bound, a download allocates nothing.
+func TestDownloadAllocFree(t *testing.T) {
+	c := newTestConn(t, DefaultConfig())
+	tr, err := trace.Generate(trace.DefaultFCC(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := 0.0
+	download := func() {
+		end, err := c.Download(start, 1.5e6, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start = end + 0.5
+	}
+	download()
+	if n := testing.AllocsPerRun(100, download); n != 0 {
+		t.Errorf("Download allocates %v times per call, want 0", n)
+	}
+}

@@ -79,13 +79,48 @@ func Constant(mbps float64) *Trace {
 
 // At returns the bandwidth in Mbps at time t. Times before the first
 // point return the first bandwidth; times after the last hold the last.
-func (tr *Trace) At(t float64) float64 {
+func (tr *Trace) At(t float64) float64 { return tr.points[tr.index(t)].Mbps }
+
+// index returns the step holding at time t: the last point with T <= t,
+// or 0 when t is at or before the first point.
+func (tr *Trace) index(t float64) int {
 	ps := tr.points
 	if t <= ps[0].T {
-		return ps[0].Mbps
+		return 0
 	}
 	// Binary search for the last point with T <= t.
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].T > t }) - 1
+	return sort.Search(len(ps), func(i int) bool { return ps[i].T > t }) - 1
+}
+
+// Cursor answers At for a caller whose query times mostly move forward,
+// such as an emulator integrating a download round by round: it
+// remembers the step of the last query and walks forward from it,
+// falling back to At's binary search when a query moves backwards or
+// more than cursorWalk steps ahead. It returns exactly what At returns.
+// The zero value is ready to use and binds to whichever trace it is
+// handed; a Cursor is not safe for concurrent use, though the trace it
+// reads may be shared.
+type Cursor struct {
+	tr *Trace
+	i  int
+}
+
+// cursorWalk bounds a Cursor's forward walk, so a long jump over a
+// fine-grained trace costs a binary search rather than a linear scan.
+const cursorWalk = 8
+
+// At returns tr.At(t).
+func (c *Cursor) At(tr *Trace, t float64) float64 {
+	ps := tr.points
+	i := c.i
+	if c.tr != tr || !(t >= ps[i].T) || (i+cursorWalk < len(ps) && ps[i+cursorWalk].T <= t) {
+		c.tr = tr
+		i = tr.index(t)
+	}
+	for i+1 < len(ps) && ps[i+1].T <= t {
+		i++
+	}
+	c.i = i
 	return ps[i].Mbps
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -273,5 +274,52 @@ func TestQuickGeneratedTracesInBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCursorMatchesAt checks the forward-walking cursor answers every
+// query exactly as At's binary search: mostly-forward sequences with
+// repeated times, short and long forward jumps, backward jumps (the
+// emulator's Restore and Clone), times before the first step and past
+// the last, NaN, and switches between traces mid-stream.
+func TestCursorMatchesAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	short := mustFromSteps(t, 5, []float64{1, 2, 3})
+	long, err := Generate(DefaultFCC(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uneven, err := New([]Point{{T: 2, Mbps: 4}, {T: 2.5, Mbps: 0}, {T: 9, Mbps: 6}, {T: 40, Mbps: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := []*Trace{short, long, uneven}
+
+	var c Cursor
+	tr := traces[0]
+	now := -3.0
+	for i := 0; i < 20000; i++ {
+		switch r := rng.Intn(100); {
+		case r < 3:
+			tr = traces[rng.Intn(len(traces))]
+		case r < 8:
+			now -= rng.Float64() * 50 // backwards
+		case r < 10:
+			now = tr.points[rng.Intn(len(tr.points))].T // exactly on a step
+		case r < 11:
+			if got, want := c.At(tr, math.NaN()), tr.At(math.NaN()); got != want {
+				t.Fatalf("query %d: Cursor.At(NaN) = %v, At = %v", i, got, want)
+			}
+			continue
+		case r < 14:
+			now += rng.Float64() * 200 // far ahead
+		case r < 20:
+			// repeat the same time
+		default:
+			now += rng.ExpFloat64() * 0.3
+		}
+		if got, want := c.At(tr, now), tr.At(now); got != want {
+			t.Fatalf("query %d: Cursor.At(%v) = %v, At = %v", i, now, got, want)
+		}
 	}
 }
